@@ -16,7 +16,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--cache-backend", action="store", default=None,
         help="cache-simulation backend for the bench run "
-             "(numpy | fused | native | numba | auto)",
+             "(numpy | fused | native | auto)",
     )
 
 

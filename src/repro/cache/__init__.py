@@ -9,7 +9,7 @@ regional checkpoint is replayed in isolation.
 
 ``repro.cache.fused`` adds the fused single-pass engine: whole slices
 buffered and swept through all four levels in one chunked pass, with
-interchangeable numpy / native / numba backends that are bit-identical
+interchangeable numpy / fused / native backends that are bit-identical
 to the per-batch reference (see DESIGN.md section 13).
 """
 

@@ -1,13 +1,14 @@
 """Native compiled backend for the fused hierarchy walk.
 
-Compiles a small C kernel — the sequential per-access direct-mapped
-hierarchy walk, the same reference semantics as
-``CacheLevel._access_direct_mapped_reference`` — with the host C
-compiler at first use, and loads it through :mod:`ctypes`.  The build is
-content-addressed (the object file name embeds a hash of the source and
-compiler), so it compiles once per machine and is reused by every
-process, including parallel workers racing to create it (writes go to a
-temporary file followed by an atomic rename).
+Compiles a small C kernel — the sequential per-access hierarchy walk,
+the same semantics as ``CacheLevel._access_direct_mapped_reference``
+for direct-mapped levels and ``_access_associative_reference`` for
+set-associative LRU levels — with the host C compiler at first use, and
+loads it through :mod:`ctypes`.  The build is content-addressed (the
+object file name embeds a hash of the source and compiler), so it
+compiles once per machine and is reused by every process, including
+parallel workers racing to create it (writes go to a temporary file
+followed by an atomic rename).
 
 Everything degrades gracefully: no compiler, a failed build, or a
 failed load all surface as :func:`load_kernel` returning ``None``, and
@@ -25,61 +26,87 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import Callable, Optional, Sequence
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
-/* One pass over an interleaved ifetch+data reference stream through a
- * direct-mapped L1I/L1D -> L2 -> L3 hierarchy with miss filtering,
- * write-allocate, and write-back accounting.  `resident` holds one tag
- * per set (-1 = empty) and `dirty` one flag per set -- the exact state
- * representation CacheLevel keeps, so native and numpy passes can
- * interleave on the same hierarchy.  `counts` is a 4x3 row-major table:
- * rows L1I,L1D,L2,L3; columns accesses,misses,writebacks. */
-void repro_dm_hierarchy(
-    const int64_t *lines, const uint8_t *writes, const uint8_t *is_data,
-    int64_t n,
-    int64_t *res_l1i, uint8_t *dir_l1i, int64_t mask_l1i, int64_t shift_l1i,
-    int64_t *res_l1d, uint8_t *dir_l1d, int64_t mask_l1d, int64_t shift_l1d,
-    int64_t *res_l2,  uint8_t *dir_l2,  int64_t mask_l2,  int64_t shift_l2,
-    int64_t *res_l3,  uint8_t *dir_l3,  int64_t mask_l3,  int64_t shift_l3,
-    int64_t *counts)
+/* One cache level.  A direct-mapped level (assoc == 1) keeps one tag
+ * per set in `tags` (-1 = empty) and one flag per set in `dirty`.  A
+ * set-associative level keeps packed LRU stacks in `tags`, a row-major
+ * (num_sets, assoc) array: way 0 is MRU, each entry is tag << 1 | dirty,
+ * -1 is empty, and valid entries always occupy a prefix of the ways.
+ * Both are the exact state CacheLevel keeps, so native and numpy passes
+ * can interleave on the same hierarchy. */
+typedef struct {
+    int64_t *tags;
+    uint8_t *dirty;
+    int64_t mask, shift, assoc;
+} level_t;
+
+/* One access at one level; `c` is the level's accesses, misses,
+ * writebacks row.  Returns 1 on a hit. */
+static inline __attribute__((always_inline)) int
+lookup(const level_t *L, int64_t line, int64_t w, int64_t *c)
 {
-    for (int64_t i = 0; i < n; i++) {
-        int64_t line = lines[i];
-        uint8_t w;
-        int64_t *res; uint8_t *dir; int64_t mask, shift, *c;
-        if (is_data[i]) {
-            res = res_l1d; dir = dir_l1d; mask = mask_l1d; shift = shift_l1d;
-            c = counts + 3; w = writes[i];
-        } else {
-            res = res_l1i; dir = dir_l1i; mask = mask_l1i; shift = shift_l1i;
-            c = counts + 0; w = 0;
-        }
-        int64_t s = line & mask, tag = line >> shift;
-        c[0]++;
-        if (res[s] == tag) { if (w) dir[s] = 1; continue; }
+    int64_t s = line & L->mask, tag = line >> L->shift;
+    c[0]++;
+    if (L->assoc == 1) {
+        int64_t *res = L->tags;
+        uint8_t *dir = L->dirty;
+        if (res[s] == tag) { if (w) dir[s] = 1; return 1; }
         c[1]++;
         if (res[s] >= 0 && dir[s]) c[2]++;
-        res[s] = tag; dir[s] = w;
-
-        s = line & mask_l2; tag = line >> shift_l2;
-        counts[6]++;
-        if (res_l2[s] == tag) { if (w) dir_l2[s] = 1; continue; }
-        counts[7]++;
-        if (res_l2[s] >= 0 && dir_l2[s]) counts[8]++;
-        res_l2[s] = tag; dir_l2[s] = w;
-
-        s = line & mask_l3; tag = line >> shift_l3;
-        counts[9]++;
-        if (res_l3[s] == tag) { if (w) dir_l3[s] = 1; continue; }
-        counts[10]++;
-        if (res_l3[s] >= 0 && dir_l3[s]) counts[11]++;
-        res_l3[s] = tag; dir_l3[s] = w;
+        res[s] = tag; dir[s] = (uint8_t)w;
+        return 0;
     }
+    int64_t assoc = L->assoc, *row = L->tags + s * assoc, way;
+    /* -1 >> 1 is -1 and tags are non-negative: empties never match. */
+    for (way = 0; way < assoc; way++)
+        if ((row[way] >> 1) == tag) break;
+    int hit = way < assoc;
+    int64_t mru = tag << 1 | w;
+    if (hit) {
+        mru |= row[way] & 1;
+    } else {
+        way = assoc - 1;
+        if (row[way] >= 0 && (row[way] & 1)) c[2]++;
+        c[1]++;
+    }
+    /* Hits promote their way to MRU, misses recycle the LRU way: both
+     * shift ways 0..way-1 down by one. */
+    memmove(row + 1, row, (size_t)way * sizeof(int64_t));
+    row[0] = mru;
+    return hit;
+}
+
+/* One pass over an interleaved ifetch+data reference stream through an
+ * L1I/L1D -> L2 -> L3 hierarchy with miss filtering, write-allocate,
+ * and write-back accounting.  `levels` is L1I, L1D, L2, L3; `counts` is
+ * a 4x3 row-major table: rows per level, columns accesses, misses,
+ * writebacks. */
+void repro_walk(const int64_t *lines, const uint8_t *writes,
+                const uint8_t *is_data, int64_t n,
+                const level_t *levels, int64_t *counts)
+{
+    /* Local copies: stores into cache state cannot alias them, so the
+     * geometry and the counters stay in registers across the loop. */
+    const level_t l1i = levels[0], l1d = levels[1];
+    const level_t l2 = levels[2], l3 = levels[3];
+    int64_t c[12] = {0};
+    for (int64_t i = 0; i < n; i++) {
+        int64_t line = lines[i], w = 0;
+        if (is_data[i]) {
+            w = writes[i];
+            if (lookup(&l1d, line, w, c + 3)) continue;
+        } else if (lookup(&l1i, line, 0, c + 0)) {
+            continue;
+        }
+        if (lookup(&l2, line, w, c + 6)) continue;
+        lookup(&l3, line, w, c + 9);
+    }
+    for (int k = 0; k < 12; k++) counts[k] += c[k];
 }
 """
 
@@ -133,63 +160,64 @@ def _build(compiler: str) -> Optional[Path]:
     return lib_path
 
 
-def _bind(lib_path: Path):
-    lib = ctypes.CDLL(str(lib_path))
-    fn = lib.repro_dm_hierarchy
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    u8p = ctypes.POINTER(ctypes.c_uint8)
-    i64 = ctypes.c_int64
-    fn.restype = None
-    fn.argtypes = (
-        [i64p, u8p, u8p, i64]
-        + [i64p, u8p, i64, i64] * 4
-        + [i64p]
-    )
-    return fn
+class _Level(ctypes.Structure):
+    """The C ``level_t``: one level's state pointers and geometry."""
+
+    _fields_ = [
+        ("tags", ctypes.c_void_p),
+        ("dirty", ctypes.c_void_p),
+        ("mask", ctypes.c_int64),
+        ("shift", ctypes.c_int64),
+        ("assoc", ctypes.c_int64),
+    ]
 
 
 class NativeKernel:
     """ctypes binding of the compiled hierarchy walk."""
 
-    def __init__(self, fn) -> None:
-        self._fn = fn
-
-    def __call__(
-        self,
-        lines: np.ndarray,
-        writes: np.ndarray,
-        is_data: np.ndarray,
-        level_state,
-        counts: np.ndarray,
-    ) -> None:
-        """Run one chunk.
-
-        Args:
-            lines: Granularity-shifted int64 line addresses, program order.
-            writes: uint8 write flags aligned with ``lines``.
-            is_data: uint8 flags, 1 = data reference, 0 = ifetch.
-            level_state: Four ``(resident, dirty, set_mask, set_shift)``
-                tuples in L1I, L1D, L2, L3 order.
-            counts: int64 ``(4, 3)`` array accumulating accesses, misses
-                and writebacks per level.
-        """
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        u8p = ctypes.POINTER(ctypes.c_uint8)
-        args = [
-            lines.ctypes.data_as(i64p),
-            writes.ctypes.data_as(u8p),
-            is_data.ctypes.data_as(u8p),
-            lines.size,
+    def __init__(self, lib) -> None:
+        self._fn = lib.repro_walk
+        self._fn.restype = None
+        self._fn.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.POINTER(_Level), ctypes.c_void_p,
         ]
-        for resident, dirty, set_mask, set_shift in level_state:
-            args += [
-                resident.ctypes.data_as(i64p),
-                dirty.ctypes.data_as(u8p),
-                set_mask,
-                set_shift,
-            ]
-        args.append(counts.ctypes.data_as(i64p))
-        self._fn(*args)
+
+    def bind(self, levels: Sequence[tuple]) -> Callable:
+        """Bind the walk to four levels' state, in L1I, L1D, L2, L3 order.
+
+        Each level is ``(tags, dirty, set_mask, set_shift, assoc)``:
+        ``CacheLevel``'s ``_resident``/``_dirty`` arrays for a
+        direct-mapped level, its packed ``_way_state`` stacks and
+        ``None`` for a set-associative one.  The walk updates these
+        arrays in place through raw pointers, so they must never be
+        replaced, only reset in place (as ``CacheLevel.flush`` does).
+
+        Returns:
+            ``walk(lines, writes, is_data, counts)`` running one chunk:
+            granularity-shifted int64 ``lines`` in program order, uint8
+            ``writes`` and ``is_data`` (1 = data reference, 0 = ifetch)
+            flags aligned with them, and an int64 ``(4, 3)`` ``counts``
+            table accumulating accesses, misses and writebacks per
+            level.
+        """
+        table = (_Level * 4)(*[
+            _Level(
+                tags.ctypes.data,
+                None if dirty is None else dirty.ctypes.data,
+                set_mask, set_shift, assoc,
+            )
+            for tags, dirty, set_mask, set_shift, assoc in levels
+        ])
+        fn = self._fn
+        arrays = [array for tags, dirty, *_ in levels
+                  for array in (tags, dirty) if array is not None]
+
+        def walk(lines, writes, is_data, counts, _keep=arrays) -> None:
+            fn(lines.ctypes.data, writes.ctypes.data, is_data.ctypes.data,
+               lines.size, table, counts.ctypes.data)
+
+        return walk
 
 
 def load_kernel() -> Optional[NativeKernel]:
@@ -202,7 +230,7 @@ def load_kernel() -> Optional[NativeKernel]:
         lib_path = _build(compiler)
         if lib_path is not None:
             try:
-                kernel = NativeKernel(_bind(lib_path))
+                kernel = NativeKernel(ctypes.CDLL(str(lib_path)))
             except OSError:
                 kernel = None
     _LOADED.append(kernel)

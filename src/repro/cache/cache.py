@@ -435,14 +435,21 @@ class CacheLevel:
         set_idx = lines & self._set_mask
         deepest = int(np.bincount(set_idx, minlength=1).max())
         wave = lines.size >= self._WAVE_AMORTIZE * deepest
+        self._choose_strategy("wave" if wave else "sequential")
+
+    def _choose_strategy(self, path: str) -> None:
+        """Allocate the associative state for ``path`` and count it.
+
+        ``path`` is ``sequential`` (the ordered-dict loop), ``wave``, or
+        ``walk`` (the native hierarchy walk, which shares the wave
+        path's packed stacks).
+        """
         recorder = get_recorder()
         if recorder is not None:
-            recorder.count(
-                "cache.strategy",
-                path="wave" if wave else "sequential",
-                level=self.name,
-            )
-        if wave:
+            recorder.count("cache.strategy", path=path, level=self.name)
+        if path == "sequential":
+            self._sets = [OrderedDict() for _ in range(self._num_sets)]
+        else:
             # LRU stacks, way 0 = MRU, packed as tag << 1 | dirty; -1
             # means empty.  Valid tags always occupy a prefix of the
             # ways (inserts shift empties toward the LRU end and hits
@@ -451,8 +458,6 @@ class CacheLevel:
             self._way_state = np.full(
                 (self._num_sets, self._assoc), -1, dtype=np.int64
             )
-        else:
-            self._sets = [OrderedDict() for _ in range(self._num_sets)]
 
     def _access_associative(self, lines: np.ndarray, writes: np.ndarray):
         """Vectorized wave-by-wave LRU update (see module docstring).

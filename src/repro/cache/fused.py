@@ -12,22 +12,22 @@ L1I/L1D -> L2 -> L3 in one pass per chunk:
   program order the legacy per-batch path produced, without ever
   scattering a miss mask back to program order;
 * the **native** backend compiles the sequential per-access hierarchy
-  walk with the host C compiler (:mod:`repro.cache._native`) and runs
-  each chunk through it;
-* the **numba** backend JIT-compiles the same walk when numba is
-  installed (:mod:`repro.cache._numba`).
+  walk — direct-mapped and set-associative LRU levels alike — with the
+  host C compiler (:mod:`repro.cache._native`) and runs each chunk
+  through it.
 
-All backends operate on the same per-level ``resident``/``dirty`` state
-arrays as :class:`~repro.cache.cache.CacheLevel` and are bit-identical
-to the sequential reference oracle; which backend runs can never change
-simulated results.  Compiled backends degrade gracefully: a missing
-toolchain or a missing numba falls back to the fused numpy path (the
+All backends operate on the same per-level state as
+:class:`~repro.cache.cache.CacheLevel` (``resident``/``dirty`` arrays
+for direct-mapped levels, packed LRU stacks for associative ones) and
+are bit-identical to the sequential reference oracles; which backend
+runs can never change simulated results.  The native backend degrades
+gracefully: a missing toolchain falls back to the fused numpy path (the
 ``cache.fused.fallback`` counter records it).
 
 Backend selection: the ``REPRO_CACHE_BACKEND`` environment variable
-(``numpy`` | ``fused`` | ``native`` | ``numba``), or an explicit
-``backend=`` argument, defaulting to ``auto`` — native when a compiler
-is available, fused otherwise.
+(``numpy`` | ``fused`` | ``native``), or an explicit ``backend=``
+argument, defaulting to ``auto`` — native when a compiler is available,
+fused otherwise.
 
 Buffering is slice-granular (a flush happens on slice boundaries once
 roughly ``REPRO_CACHE_CHUNK`` references are pending, default 262144)
@@ -47,14 +47,14 @@ import numpy as np
 
 from repro.cache.cache import CacheLevel, dm_sweep
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache import _native, _numba
+from repro.cache import _native
 from repro.config import ALLCACHE_SIM, CacheHierarchyConfig
 from repro.errors import ConfigError, SimulationError
 from repro.isa.trace import SliceTrace
 from repro.telemetry.recorder import get_recorder
 
 #: Recognized backend names (plus "auto").
-BACKENDS = ("numpy", "fused", "native", "numba")
+BACKENDS = ("numpy", "fused", "native")
 
 #: Default flush threshold, in buffered references.
 DEFAULT_CHUNK_REFS = 262144
@@ -128,9 +128,9 @@ def resolve_backend(backend: Optional[str] = None) -> str:
             ``auto``).
 
     Returns:
-        One of ``numpy``, ``fused``, ``native``, ``numba`` — guaranteed
-        available.  Unavailable compiled backends resolve to ``fused``
-        and count ``cache.fused.fallback``.
+        One of ``numpy``, ``fused``, ``native`` — guaranteed available.
+        An unavailable ``native`` resolves to ``fused`` and counts
+        ``cache.fused.fallback``.
 
     Raises:
         ConfigError: On an unrecognized backend name.
@@ -145,9 +145,6 @@ def resolve_backend(backend: Optional[str] = None) -> str:
         return "native" if _native.load_kernel() is not None else "fused"
     if requested == "native" and _native.load_kernel() is None:
         _count_fallback("native", "fused")
-        return "fused"
-    if requested == "numba" and _numba.load_kernel() is None:
-        _count_fallback("numba", "fused")
         return "fused"
     return requested
 
@@ -178,8 +175,8 @@ class FusedHierarchy(CacheHierarchy):
 
     Args:
         config: Hierarchy geometry.
-        backend: ``fused``, ``native`` or ``numba`` (already resolved —
-            use :func:`build_hierarchy` for env-driven selection).
+        backend: ``fused`` or ``native`` (already resolved — use
+            :func:`build_hierarchy` for env-driven selection).
         chunk_refs: Flush threshold in buffered references; defaults to
             ``REPRO_CACHE_CHUNK`` or :data:`DEFAULT_CHUNK_REFS`.
     """
@@ -191,7 +188,7 @@ class FusedHierarchy(CacheHierarchy):
         chunk_refs: Optional[int] = None,
     ) -> None:
         super().__init__(config)
-        if backend not in ("fused", "native", "numba"):
+        if backend not in ("fused", "native"):
             raise ConfigError(f"not a fused backend: {backend!r}")
         self.backend = backend
         self._chunk = chunk_refs if chunk_refs is not None else _chunk_refs()
@@ -205,25 +202,35 @@ class FusedHierarchy(CacheHierarchy):
                 "fused hierarchy requires a uniform line size"
             )
         self._shift = shifts.pop()
-        self._kernel = None
+        self._walk = None
         if backend == "native":
-            self._kernel = _native.load_kernel()
-        elif backend == "numba":
-            self._kernel = _numba.load_kernel()
-        if backend != "fused" and self._kernel is None:
-            raise ConfigError(
-                f"backend {backend!r} is unavailable; "
-                "resolve_backend() selects an available one"
-            )
-        # The compiled walk handles direct-mapped levels only; an
-        # associative or reference level sends chunks down the numpy
-        # sweeps, which handle any geometry.
-        self._walkable = all(
-            level._assoc == 1 and not level.reference
-            for level in self.levels
-        )
+            kernel = _native.load_kernel()
+            if kernel is None:
+                raise ConfigError(
+                    "backend 'native' is unavailable; "
+                    "resolve_backend() selects an available one"
+                )
+            self._walk = kernel.bind(self._walk_state())
         self._segments: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
         self._pending = 0
+
+    def _walk_state(self) -> list:
+        """Each level's state for the walk, allocated up front.
+
+        Associative levels take the packed LRU stacks the wave path
+        also uses, so per-batch access and ``install()`` interleave
+        with native drains on one level.
+        """
+        state = []
+        for level in self.levels:
+            if level._assoc == 1:
+                state.append((level._resident, level._dirty,
+                              level._set_mask, level._set_shift, 1))
+            else:
+                level._choose_strategy("walk")
+                state.append((level._way_state, None, level._set_mask,
+                              level._set_shift, level._assoc))
+        return state
 
     # -- buffering ------------------------------------------------------
 
@@ -308,8 +315,8 @@ class FusedHierarchy(CacheHierarchy):
         combined = np.concatenate([lines for lines, _ in segments])
         if self._shift:
             combined >>= self._shift
-        if self._kernel is not None and self._walkable:
-            counts = self._walk_chunk(segments, n, combined)
+        if self._walk is not None:
+            counts = self._walk_chunk(segments, combined)
             waves = 1
         else:
             counts = self._sweep_chunk(segments, n, combined)
@@ -326,7 +333,7 @@ class FusedHierarchy(CacheHierarchy):
         if recorder is not None:
             recorder.count("cache.fused.waves", waves)
 
-    def _walk_chunk(self, segments, n, combined) -> np.ndarray:
+    def _walk_chunk(self, segments, combined) -> np.ndarray:
         writes = np.concatenate([
             writes.view(np.uint8) if writes is not None
             else np.zeros(lines.size, dtype=np.uint8)
@@ -337,12 +344,7 @@ class FusedHierarchy(CacheHierarchy):
             for lines, writes in segments
         ])
         counts = np.zeros((4, 3), dtype=np.int64)
-        state = [
-            (level._resident, level._dirty, level._set_mask,
-             level._set_shift)
-            for level in self.levels
-        ]
-        self._kernel(combined, writes, is_data, state, counts)
+        self._walk(combined, writes, is_data, counts)
         return counts
 
     def _sweep_chunk(self, segments, n, combined) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.fused import build_hierarchy
 from repro.config import SNIPER_SIM, SystemConfig
 from repro.errors import SimulationError
 from repro.isa.trace import SliceTrace
@@ -99,6 +99,13 @@ class RegionTiming:
 class SniperSimulator:
     """Timing simulation of slice streams on a configured machine.
 
+    Each region runs on a fresh cache hierarchy built for the configured
+    cache backend (``REPRO_CACHE_BACKEND`` / ``--cache-backend``, see
+    ``repro.cache.fused``), exactly as the ``allcache`` pintool's is:
+    slices are buffered and simulated in chunks, and the snapshot at
+    the end of the region drains them.  Every backend gives the same
+    miss counts, so the timing never depends on which one ran.
+
     Args:
         system: Machine geometry (defaults to the scaled Table III model).
         params: Interval-model knobs (defaults to Sniper's calibration).
@@ -145,12 +152,11 @@ class SniperSimulator:
         slices: Iterable[SliceTrace],
         warmup: Iterable[SliceTrace],
     ) -> RegionTiming:
-        hierarchy = CacheHierarchy(self.system.caches)
+        hierarchy = build_hierarchy(self.system.caches)
 
         hierarchy.set_recording(False)
         for trace in warmup:
-            hierarchy.access_ifetch(trace.ifetch_lines)
-            hierarchy.access_data(trace.mem_lines, trace.mem_is_write)
+            hierarchy.process_trace(trace)
         hierarchy.set_recording(True)
 
         instructions = 0
@@ -159,8 +165,7 @@ class SniperSimulator:
         issue_cycles = 0.0
         dependency_cycles = 0.0
         for trace in slices:
-            hierarchy.access_ifetch(trace.ifetch_lines)
-            hierarchy.access_data(trace.mem_lines, trace.mem_is_write)
+            hierarchy.process_trace(trace)
             instructions += trace.instruction_count
             if self.predictor is not None:
                 from repro.sniper.branch import simulate_slice_mispredicts

@@ -2,44 +2,55 @@
 
 The load-bearing invariant of ``repro.cache.fused``: every backend
 (``numpy`` per-batch, ``fused`` chunked sweeps, ``native`` compiled
-walk, ``numba`` when importable) produces **bit-identical** results —
-same per-level miss counts, same writeback counts, same rendered
-experiment bytes — differing only in speed.  These tests pin that
-invariant across the matrix of geometries (direct-mapped and
-associative), write traffic (dirty and clean), and warmup, plus the
-kernels' own oracles (the sequential per-access loops).
+walk) produces **bit-identical** results — same per-level miss counts,
+same writeback counts, same rendered experiment bytes — differing only
+in speed.  These tests pin that invariant across the matrix of
+geometries (direct-mapped and associative), write traffic (dirty and
+clean), and warmup, plus the kernels' own oracles (the sequential
+per-access loops).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.cache import build_hierarchy, resolve_backend
+from repro.cache import _native, build_hierarchy, resolve_backend
 from repro.cache.cache import CacheLevel, dm_sweep, set_order
 from repro.cache.fused import BACKENDS, FusedHierarchy
 from repro.cache.hierarchy import CacheHierarchy
-from repro.config import ALLCACHE_SIM, SNIPER_TABLE_III, CacheConfig
+from repro.config import (
+    ALLCACHE_SIM,
+    SNIPER_SIM,
+    SNIPER_TABLE_III,
+    CacheConfig,
+)
 from repro.errors import ConfigError
 from repro.isa.trace import SliceTrace
 from repro.pin.engine import Engine
 from repro.pin.tools.allcache import AllCache
 
-try:
-    import numba  # noqa: F401 -- availability probe only
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
 #: Backends that resolve to themselves on this machine.
 AVAILABLE = [b for b in BACKENDS if resolve_backend(b) == b]
 
+needs_native = pytest.mark.skipif(
+    "native" not in AVAILABLE, reason="no working C compiler"
+)
 
-def make_trace(rng, index=0, n_mem=300, n_if=60, writes=True, span=2000):
-    """A small random slice trace over a bounded address span."""
-    mem = rng.integers(0, span, size=n_mem).astype(np.int64)
+
+def make_trace(rng, index=0, n_mem=300, n_if=60, writes=True, span=2000,
+               mem=None):
+    """A small random slice trace over a bounded address span.
+
+    ``mem`` replaces the random data stream (``n_mem`` and ``span`` are
+    then ignored).
+    """
+    if mem is None:
+        mem = rng.integers(0, span, size=n_mem).astype(np.int64)
+    n_mem = mem.size
     if writes:
         is_write = rng.random(n_mem) < 0.3
     else:
@@ -58,6 +69,43 @@ def make_trace(rng, index=0, n_mem=300, n_if=60, writes=True, span=2000):
         branch_count=10,
         branch_entropy=0.5,
     )
+
+
+def crowded_trace(rng, index=0, writes=True):
+    """A slice whose data stream mixes a hot set with lines crowding a
+    few sets of every level: hits at every level, plus LRU evictions
+    and dirty writebacks in the associative L2 and L3."""
+    hot = rng.integers(0, 4000, size=700)
+    crowd = (rng.integers(0, 512, size=800) * 4096
+             + rng.integers(0, 32, size=800))
+    mem = rng.permutation(np.concatenate([hot, crowd])).astype(np.int64)
+    return make_trace(rng, index=index, writes=writes, mem=mem)
+
+
+def oracle_hierarchy(config) -> CacheHierarchy:
+    """A per-batch hierarchy whose every level runs its oracle loop."""
+    hierarchy = CacheHierarchy(config)
+    hierarchy.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.l3 = (
+        CacheLevel(level.config, reference=True)
+        for level in hierarchy.levels
+    )
+    return hierarchy
+
+
+def level_contents(level: CacheLevel) -> list:
+    """Per-set resident ``(tag, dirty)`` pairs, MRU first, whichever
+    state representation the level keeps."""
+    if level._assoc == 1:
+        return [
+            [(tag, dirty)] if tag >= 0 else []
+            for tag, dirty in zip(level._resident.tolist(),
+                                  level._dirty.tolist())
+        ]
+    if level._sets is not None:
+        return [[(tag, bool(dirty)) for tag, dirty in reversed(entry.items())]
+                for entry in level._sets]
+    return [[(way >> 1, bool(way & 1)) for way in row if way >= 0]
+            for row in level._way_state.tolist()]
 
 
 def level_stats(tool: AllCache) -> dict:
@@ -216,6 +264,65 @@ class TestChunkInvariance:
         assert fused.snapshot() == reference.snapshot()
 
 
+@needs_native
+class TestNativeLruWalk:
+    """The native walk over associative levels against the oracles."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
+    @pytest.mark.parametrize("caches", [SNIPER_SIM.caches,
+                                        SNIPER_TABLE_III.caches],
+                             ids=["sniper-sim", "table-iii"])
+    @pytest.mark.parametrize("writes", [True, False], ids=["dirty", "clean"])
+    @pytest.mark.parametrize("warmup", [0, 3], ids=["cold", "warmed"])
+    def test_matches_reference_hierarchy(self, chunk, caches, writes,
+                                         warmup):
+        rng = np.random.default_rng(21)
+        traces = [crowded_trace(rng, i, writes) for i in range(10)]
+        native = FusedHierarchy(caches, backend="native", chunk_refs=chunk)
+        oracle = oracle_hierarchy(caches)
+        for hierarchy in (native, oracle):
+            hierarchy.set_recording(False)
+            for trace in traces[:warmup]:
+                hierarchy.process_trace(trace)
+            hierarchy.set_recording(True)
+            for trace in traces[warmup:]:
+                hierarchy.process_trace(trace)
+        expected = oracle.snapshot()
+        assert native.snapshot() == expected
+        for fast, slow in zip(native.levels, oracle.levels):
+            assert level_contents(fast) == level_contents(slow), fast.name
+        # The traffic reaches the LRU paths it is meant to pin.
+        assert expected.levels["L3"].accesses > expected.levels["L3"].misses
+        assert (expected.levels["L2"].writebacks > 0) == writes
+
+    def test_drains_interleave_with_per_batch_and_install(self):
+        rng = np.random.default_rng(23)
+        traces = [crowded_trace(rng, i) for i in range(8)]
+        extra = crowded_trace(rng, 99)
+        fills = rng.integers(0, 1 << 16, size=300).astype(np.int64)
+        native = FusedHierarchy(SNIPER_SIM.caches, backend="native",
+                                chunk_refs=10**9)
+        oracle = oracle_hierarchy(SNIPER_SIM.caches)
+        for hierarchy in (native, oracle):
+            for trace in traces[:4]:
+                hierarchy.process_trace(trace)
+            # Drains, then runs the wave path on the walk's own stacks.
+            hierarchy.access_data(extra.mem_lines, extra.mem_is_write)
+            for trace in traces[4:6]:
+                hierarchy.process_trace(trace)
+            # install() bypasses the buffer, so drain first.
+            hierarchy.drain()
+            hierarchy.l2.install(fills)
+            hierarchy.l3.install(fills)
+            for trace in traces[6:]:
+                hierarchy.process_trace(trace)
+            hierarchy.drain()
+        assert native.l2._sets is None and native.l3._sets is None
+        assert native.snapshot() == oracle.snapshot()
+        for fast, slow in zip(native.levels, oracle.levels):
+            assert level_contents(fast) == level_contents(slow), fast.name
+
+
 class TestBackendResolution:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
@@ -230,13 +337,23 @@ class TestBackendResolution:
         built = build_hierarchy(ALLCACHE_SIM)
         assert not isinstance(built, FusedHierarchy)
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed here")
-    def test_missing_numba_falls_back_to_fused_with_counter(self):
+    def test_missing_compiler_falls_back_to_fused_with_counter(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
         recorder = telemetry.TraceRecorder()
         with telemetry.using_recorder(recorder):
-            assert resolve_backend("numba") == "fused"
-        key = "cache.fused.fallback{requested=numba,to=fused}"
+            assert resolve_backend("native") == "fused"
+        key = "cache.fused.fallback{requested=native,to=fused}"
         assert recorder.metrics.counters.get(key, 0) == 1
+
+    def test_native_requested_through_environment_is_honoured(self):
+        # CI runs the differential suite with the native backend pinned
+        # in the environment.  A silent fallback to fused there would
+        # leave the compiled walk untested, so it fails rather than
+        # skips.
+        if os.environ.get("REPRO_CACHE_BACKEND") == "native":
+            assert resolve_backend() == "native"
 
     def test_auto_resolves_to_available_backend(self):
         assert resolve_backend("auto") in ("native", "fused")
@@ -256,37 +373,87 @@ class TestFusedTelemetry:
         assert counters.get("cache.fused.waves", 0) > 0
         assert counters.get("cache.fused.backend{backend=fused}", 0) >= 1
 
+    @needs_native
+    def test_walk_levels_count_their_strategy(self):
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            FusedHierarchy(SNIPER_SIM.caches, backend="native")
+        counters = recorder.metrics.counters
+        for level in ("L2", "L3"):
+            key = f"cache.strategy{{level={level},path=walk}}"
+            assert counters.get(key, 0) == 1
+
+    @pytest.mark.parametrize(
+        "backend", [b for b in AVAILABLE if b != "numpy"]
+    )
+    def test_sniper_region_nests_cache_spans(self, backend, monkeypatch):
+        from repro.sniper import SniperSimulator
+
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", backend)
+        rng = np.random.default_rng(29)
+        traces = [crowded_trace(rng, i) for i in range(6)]
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            SniperSimulator().run_region(traces[2:], warmup=traces[:2])
+        (region,) = [e for e in recorder.events
+                     if e["name"] == "sniper.region"]
+        drains = [e for e in recorder.events if e["name"] == "cache.fused"]
+        # One drain at the warmup boundary, one at the closing snapshot.
+        assert len(drains) == 2
+        for drain in drains:
+            assert drain["depth"] == region["depth"] + 1
+            assert drain["args"]["backend"] == backend
+            assert region["ts"] <= drain["ts"]
+            assert (drain["ts"] + drain["dur"]
+                    <= region["ts"] + region["dur"])
+
 
 class TestExperimentBytes:
-    """fig8/fig10 rendered output is backend-independent, byte for byte."""
+    """Rendered experiment output is backend-independent, byte for byte:
+    fig8/fig10 through ``allcache``, fig12 through Sniper and the perf
+    model."""
 
-    BENCH = ["620.omnetpp_s"]
+    QUICK = dict(slice_size=3000, total_slices=120)
 
-    def _sweep(self, backend, tmp_path, monkeypatch):
+    def _render(self, backend, tmp_path, monkeypatch, figures, bench):
         from repro.experiments import common
         from repro.experiments.common import configure_cache
-        from repro.experiments.fig8 import render_fig8, run_fig8
-        from repro.experiments.fig10 import render_fig10, run_fig10
 
         monkeypatch.setenv("REPRO_CACHE_BACKEND", backend)
         configure_cache(tmp_path / backend)
         common._PINPOINTS_CACHE.clear()
         common._WHOLE_CACHE.clear()
         common._POINTS_CACHE.clear()
-        quick = dict(slice_size=3000, total_slices=120)
-        return "\n".join([
-            render_fig8(run_fig8(self.BENCH, jobs=1, **quick)),
-            render_fig10(run_fig10(self.BENCH, jobs=1, **quick)),
-        ])
+        return "\n".join(
+            render(run([bench], jobs=1, **self.QUICK))
+            for run, render in figures
+        )
+
+    def _assert_identical(self, tmp_path, monkeypatch, figures, bench):
+        renders = {
+            backend: self._render(backend, tmp_path, monkeypatch,
+                                  figures, bench)
+            for backend in AVAILABLE
+        }
+        reference = renders["numpy"]
+        assert bench in reference
+        for backend, text in renders.items():
+            assert text == reference, f"{backend} diverged from numpy"
 
     def test_fig8_fig10_bytes_identical_across_backends(
         self, tmp_path, monkeypatch
     ):
-        renders = {
-            backend: self._sweep(backend, tmp_path, monkeypatch)
-            for backend in AVAILABLE
-        }
-        reference = renders["numpy"]
-        assert "620.omnetpp_s" in reference
-        for backend, text in renders.items():
-            assert text == reference, f"{backend} diverged from numpy"
+        from repro.experiments.fig8 import render_fig8, run_fig8
+        from repro.experiments.fig10 import render_fig10, run_fig10
+
+        figures = [(run_fig8, render_fig8), (run_fig10, render_fig10)]
+        self._assert_identical(tmp_path, monkeypatch, figures,
+                               "620.omnetpp_s")
+
+    def test_fig12_bytes_identical_across_backends(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.fig12 import render_fig12, run_fig12
+
+        self._assert_identical(tmp_path, monkeypatch,
+                               [(run_fig12, render_fig12)], "544.nab_r")
