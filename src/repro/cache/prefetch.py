@@ -25,6 +25,7 @@ from repro.cache.cache import CacheLevel
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import CacheHierarchyConfig
 from repro.errors import SimulationError
+from repro.isa.trace import sorted_unique
 
 
 class PrefetchingHierarchy(CacheHierarchy):
@@ -78,7 +79,7 @@ class PrefetchingHierarchy(CacheHierarchy):
     def _install_successors(self, missed_lines: np.ndarray) -> None:
         if missed_lines.size == 0:
             return
-        targets = np.unique(np.concatenate([
+        targets = sorted_unique(np.concatenate([
             missed_lines + offset for offset in range(1, self.degree + 1)
         ]))
         self.prefetches_issued += int(targets.size)
@@ -95,7 +96,7 @@ class PrefetchingHierarchy(CacheHierarchy):
         if miss2.any():
             l3_stream = l2_stream[miss2]
             self._access_with_prefetch(self.l3, l3_stream)
-            self._install_successors(np.unique(l3_stream))
+            self._install_successors(sorted_unique(l3_stream))
 
     def reset(self) -> None:
         """Cold caches and zeroed prefetch counters."""

@@ -112,30 +112,42 @@ def _maximin_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def _lloyd(data: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
-    """Lloyd iterations with farthest-point reseeding of empty clusters."""
+    """Lloyd iterations with farthest-point reseeding of empty clusters.
+
+    Centroids come from one flattened ``bincount`` over ``(cluster,
+    column)`` bins: it sums each bin's rows in row order, as
+    ``mean(axis=0)`` does for two or more columns, so the bits match a
+    masked ``mean`` per cluster (except for one column, which ``mean``
+    sums pairwise, and an all ``-0.0`` column, which ``bincount`` sums
+    to ``+0.0``).
+    """
+    n, d = data.shape
     k = centers.shape[0]
+    columns = np.arange(d)
+    flat = data.ravel()
     iteration = 0
     for iteration in range(1, max_iter + 1):
         dists = _pairwise_sq_dists(data, centers)
         labels = dists.argmin(axis=1)
-        point_costs = dists[np.arange(data.shape[0]), labels]
-        new_centers = np.empty_like(centers)
+        point_costs = dists[np.arange(n), labels]
         counts = np.bincount(labels, minlength=k)
-        for cluster in range(k):
-            if counts[cluster] == 0:
-                # Reseed an empty cluster at the most expensive point.
-                worst = int(point_costs.argmax())
-                new_centers[cluster] = data[worst]
-                point_costs[worst] = 0.0
-            else:
-                new_centers[cluster] = data[labels == cluster].mean(axis=0)
+        sums = np.bincount(
+            (labels[:, None] * d + columns).ravel(), weights=flat,
+            minlength=k * d,
+        )
+        new_centers = sums.reshape(k, d) / np.maximum(counts, 1)[:, None]
+        for cluster in np.flatnonzero(counts == 0):
+            # Reseed an empty cluster at the most expensive point.
+            worst = int(point_costs.argmax())
+            new_centers[cluster] = data[worst]
+            point_costs[worst] = 0.0
         shift = float(np.abs(new_centers - centers).max())
         centers = new_centers
         if shift <= tol:
             break
     dists = _pairwise_sq_dists(data, centers)
     labels = dists.argmin(axis=1)
-    point_costs = dists[np.arange(data.shape[0]), labels]
+    point_costs = dists[np.arange(n), labels]
     inertia = float(point_costs.sum())
     return labels, centers, inertia, point_costs, iteration
 

@@ -102,3 +102,18 @@ class SliceTrace:
         if total <= 0:
             raise WorkloadError(f"slice {self.index} has an empty BBV")
         return vec / total
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending — ``np.unique``'s output.
+
+    Sort, then keep each element that differs from its predecessor.
+    numpy >= 2.3 answers ``np.unique`` on integers with a hash table that
+    is 10-30x slower than this on the 10^4-10^5-element line streams the
+    pintools and the prefetcher dedupe.
+    """
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]

@@ -27,7 +27,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.isa.trace import SliceTrace
+from repro.isa.trace import SliceTrace, sorted_unique
 from repro.pin.pintool import Pintool
 
 #: Width of one memory access vector.
@@ -58,7 +58,7 @@ def slice_mav(trace: SliceTrace) -> np.ndarray:
         return vec
     vec[0] = min(1.0, refs / trace.instruction_count)
     vec[1] = trace.mem_is_write.sum() / refs
-    vec[2] = np.unique(lines).size / refs
+    vec[2] = sorted_unique(lines).size / refs
     if refs > 1:
         deltas = np.abs(np.diff(lines))
         transitions = deltas.size

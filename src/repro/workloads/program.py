@@ -261,27 +261,27 @@ class SyntheticProgram:
             parts = []
             for region in range(4):
                 if targets[region] > 0:
-                    parts.append(
-                        phase.ws_bases[region]
-                        + rng.integers(
-                            0, phase.ws_sizes[region], size=targets[region]
-                        )
-                    )
+                    base = phase.ws_bases[region]
+                    parts.append(rng.integers(
+                        base, base + phase.ws_sizes[region],
+                        size=targets[region],
+                    ))
             stream_count = min(int(targets[4]), STREAM_WINDOW_LINES)
             if stream_count > 0:
                 start = phase.stream_base + slice_index * STREAM_WINDOW_LINES
                 parts.append(np.arange(start, start + stream_count, dtype=np.int64))
             mem_lines = np.concatenate(parts) if parts else np.empty(0, np.int64)
-            mem_lines = mem_lines[rng.permutation(mem_lines.size)]
+            rng.shuffle(mem_lines)
             write_prob = (class_counts[2] + class_counts[3]) / num_refs
             mem_is_write = rng.random(mem_lines.size) < write_prob
         else:
             mem_lines = np.empty(0, dtype=np.int64)
             mem_is_write = np.empty(0, dtype=bool)
 
-        fetch_count = int(np.clip(instruction_count // 40, 32, 512))
-        ifetch_lines = phase.code_base + rng.integers(
-            0, phase.spec.code_lines, size=fetch_count
+        fetch_count = min(max(instruction_count // 40, 32), 512)
+        ifetch_lines = rng.integers(
+            phase.code_base, phase.code_base + phase.spec.code_lines,
+            size=fetch_count,
         )
         branch_count = int(instruction_count * phase.spec.branch_fraction)
 
@@ -290,10 +290,10 @@ class SyntheticProgram:
             phase_id=phase_id,
             instruction_count=instruction_count,
             block_counts=block_counts,
-            class_counts=class_counts.astype(np.int64),
-            mem_lines=mem_lines.astype(np.int64),
+            class_counts=class_counts,
+            mem_lines=mem_lines,
             mem_is_write=mem_is_write,
-            ifetch_lines=ifetch_lines.astype(np.int64),
+            ifetch_lines=ifetch_lines,
             branch_count=branch_count,
             branch_entropy=phase.spec.branch_entropy,
         )

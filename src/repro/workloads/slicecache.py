@@ -8,7 +8,7 @@ every slice of the whole run, the Whole Run measurement replays the very
 same stream moments later, and regional replays re-generate their warmup
 prefixes.  This module memoizes the finished :class:`SliceTrace` objects
 behind an LRU byte budget, so each repeat is a dictionary hit instead of
-a fresh multinomial + permutation draw.
+a fresh multinomial draw and reference shuffle.
 
 Memoization cannot change results: a hit returns a trace that is
 bit-identical to what generation would produce (it *is* that trace), and

@@ -12,7 +12,17 @@ from repro.clustering import (
     project,
     random_projection_matrix,
 )
+from repro.clustering.kmeans import (
+    _kmeans_pp_init,
+    _lloyd,
+    _maximin_init,
+    _pairwise_sq_dists,
+    _random_init,
+)
 from repro.errors import ClusteringError
+from repro.workloads.spec2017 import build_program
+
+from conftest import QUICK
 
 
 def blobs(rng, k=4, per=40, dim=8, spread=0.02, sep=5.0):
@@ -171,6 +181,89 @@ class TestBic:
         k, result, scores = choose_k(data, max_k=6, seed=0)
         assert k == 3
         assert result.inertia == pytest.approx(0.0, abs=1e-15)
+
+
+def masked_mean_lloyd(data, centers, max_iter, tol, reseeds):
+    """Reference Lloyd loop: one masked ``mean`` per cluster.
+
+    Appends every reseeded cluster index to ``reseeds``.
+    """
+    k = centers.shape[0]
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        dists = _pairwise_sq_dists(data, centers)
+        labels = dists.argmin(axis=1)
+        point_costs = dists[np.arange(data.shape[0]), labels]
+        new_centers = np.empty_like(centers)
+        counts = np.bincount(labels, minlength=k)
+        for cluster in range(k):
+            if counts[cluster] == 0:
+                worst = int(point_costs.argmax())
+                new_centers[cluster] = data[worst]
+                point_costs[worst] = 0.0
+                reseeds.append(cluster)
+            else:
+                new_centers[cluster] = data[labels == cluster].mean(axis=0)
+        shift = float(np.abs(new_centers - centers).max())
+        centers = new_centers
+        if shift <= tol:
+            break
+    dists = _pairwise_sq_dists(data, centers)
+    labels = dists.argmin(axis=1)
+    point_costs = dists[np.arange(data.shape[0]), labels]
+    return labels, centers, float(point_costs.sum()), point_costs, iteration
+
+
+INITS = (_maximin_init, _kmeans_pp_init, _random_init)
+
+
+def projected_bbvs(bench):
+    program = build_program(bench, **QUICK)
+    bbv = np.array([trace.bbv() for trace in program.iter_slices()])
+    return project(bbv, random_projection_matrix(bbv.shape[1], 15, seed=7))
+
+
+def assert_same_fits(data, ks, reseeds):
+    for init in INITS:
+        for k in ks:
+            centers = init(data, k, np.random.default_rng(k))
+            got = _lloyd(data, centers, 100, 1e-7)
+            want = masked_mean_lloyd(data, centers, 100, 1e-7, reseeds)
+            assert got[0].tobytes() == want[0].tobytes(), (init, k)
+            assert got[1].tobytes() == want[1].tobytes(), (init, k)
+            assert got[2] == want[2], (init, k)
+            assert got[3].tobytes() == want[3].tobytes(), (init, k)
+            assert got[4] == want[4], (init, k)
+
+
+class TestLloydBytes:
+    """The bincount centroid update reproduces the masked-mean loop bit for bit."""
+
+    @pytest.mark.parametrize("bench", ["505.mcf_r", "557.xz_r"])
+    def test_projected_bbvs_every_k_and_init(self, bench):
+        assert_same_fits(projected_bbvs(bench), range(1, 36), [])
+
+    def test_blobs(self, rng):
+        data, _, _ = blobs(rng, k=6, per=50, dim=22, spread=0.5, sep=2.0)
+        assert_same_fits(data, range(1, 36), [])
+
+    def test_duplicate_points_reseed_empty_clusters(self, rng):
+        data = np.repeat(rng.normal(size=(4, 3)), 6, axis=0)
+        reseeds = []
+        assert_same_fits(data, range(1, 13), reseeds)
+        assert reseeds
+
+    def test_single_column_within_rounding(self, rng):
+        """One column: ``mean`` sums pairwise, ``bincount`` in row order."""
+        data = np.concatenate([
+            rng.normal(loc, 0.1, size=(200, 1)) for loc in (-4.0, 1.0, 9.0)
+        ])
+        for k in (1, 3, 5):
+            centers = _maximin_init(data, k, np.random.default_rng(k))
+            got = _lloyd(data, centers, 100, 1e-7)
+            want = masked_mean_lloyd(data, centers, 100, 1e-7, [])
+            assert np.array_equal(got[0], want[0])
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
 
 
 class TestProjection:

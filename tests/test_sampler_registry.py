@@ -5,14 +5,17 @@ Three layers of protection:
 * property tests every registered sampler must pass (weights sum to 1,
   indices in range / strictly ascending, same-seed determinism) — the
   ``sampler-matrix`` CI job runs exactly these over the whole registry,
-* differential tests against pre-refactor goldens
+* differential tests against recorded goldens
   (``tests/goldens/sampler_goldens.json``): migrated SimPoint and the
   classic baselines must reproduce the exact points the ad-hoc code
-  selected before the registry existed,
+  selected before the registry existed, and ``stratified2``, ``ranked``
+  and ``mav`` the points (and MAV matrix digest) recorded before the
+  sort-based MAV footprint and the bincount Lloyd update,
 * regression tests for the ``cluster_size`` truncation fix and the
   registry plumbing (parsing, feature gating, contract enforcement).
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -129,6 +132,31 @@ class TestGoldens:
         assert [rp.region_start for rp in out.regional] == [
             p["slice_index"] for p in golden["points"]
         ]
+
+    @pytest.mark.parametrize("name,bench", [
+        (name, bench)
+        for name, by_bench in sorted(GOLDENS["samplers"].items())
+        for bench in sorted(by_bench)
+    ])
+    def test_frontier_sampler_byte_identical(self, name, bench):
+        """MAV features and k-means feed these selections bit for bit."""
+        golden = GOLDENS["samplers"][name][bench]
+        out = run_pinpoints(bench, sampler=name, **golden["quick"])
+        got = [
+            {
+                "slice_index": p.slice_index,
+                "cluster": p.cluster,
+                "weight": p.weight,
+                "cluster_size": p.cluster_size,
+            }
+            for p in out.selection.points
+        ]
+        assert got == golden["points"]
+        if name == "mav":
+            assert out.simpoints.k == golden["k"]
+            assert hashlib.sha256(out.features.mav.tobytes()).hexdigest() == (
+                golden["mav_sha256"]
+            )
 
     @pytest.mark.parametrize("case", range(len(GOLDENS["baselines"])))
     def test_baselines_match_goldens(self, case):
