@@ -83,10 +83,8 @@ def _sweep(jobs: int) -> str:
 
 
 def _drop_memory_tier() -> None:
-    """What a new process sees: empty dicts, a populated disk store."""
-    common._PINPOINTS_CACHE.clear()
-    common._WHOLE_CACHE.clear()
-    common._POINTS_CACHE.clear()
+    """What a new process sees: an empty memo, a populated disk store."""
+    common._MEMO.clear()
 
 
 def _timed(fn):

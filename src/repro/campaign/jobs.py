@@ -61,7 +61,7 @@ def validate_submission(experiment: str, kwargs: Optional[dict]) -> Tuple:
     :class:`CampaignServiceError` for an unknown experiment, a keyword
     the runner does not take, or benchmark names outside the
     experiment's universe — the same checks the CLI applies, performed
-    server-side so every client (socket, HTTP) gets them.
+    server-side so every client gets them.
     """
     from repro.experiments.registry import get_spec
 

@@ -1,8 +1,9 @@
 """Shared measurement plumbing for the experiment drivers.
 
-Expensive intermediates flow through a two-tier cache:
+Expensive intermediates — PinPoints bundles and whole/regional run
+metrics — flow through one two-tier memo (:func:`_memoized`):
 
-* **memory tier** — per-process dicts, exactly as fast as before;
+* **memory tier** — one per-process dict keyed by ``(kind, key)``;
 * **disk tier** — an optional content-addressed
   :class:`~repro.parallel.store.ArtifactStore` shared across worker
   processes and across sessions (enabled by the CLI / bench harness via
@@ -25,7 +26,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -46,6 +49,8 @@ LEVELS = ("L1D", "L2", "L3")
 
 #: Run types understood by :func:`measure_benchmark`.
 RUN_TYPES = ("whole", "regional", "reduced", "warmup")
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -147,34 +152,6 @@ def metrics_from_payload(payload: dict) -> RunMetrics:
     )
 
 
-def _store_get_metrics(run: str, key: tuple) -> Optional[RunMetrics]:
-    if _STORE is None:
-        return None
-    try:
-        payload = _STORE.get_json("metrics", {"run": run, "key": key})
-    except StoreError:
-        return None
-    if payload is None:
-        return None
-    return metrics_from_payload(payload)
-
-
-def _store_put_metrics(run: str, key: tuple, metrics: RunMetrics) -> None:
-    """Persist metrics unless the artifact already exists.
-
-    Also called on memory-tier hits, so a store configured *after* a
-    result was computed still captures it (write-through backfill).
-    """
-    if _STORE is None:
-        return
-    try:
-        params = {"run": run, "key": key}
-        if not _STORE.has("metrics", params):
-            _STORE.put_json("metrics", params, metrics_to_payload(metrics))
-    except StoreError:
-        pass
-
-
 def _metrics_key(out: PinPointsOutput, config, extra=()) -> tuple:
     levels = None if config is None else tuple(
         (c.name, c.size_bytes, c.line_size, c.associativity)
@@ -184,8 +161,71 @@ def _metrics_key(out: PinPointsOutput, config, extra=()) -> tuple:
             levels) + tuple(extra)
 
 
-_WHOLE_CACHE: Dict[tuple, RunMetrics] = {}
-_POINTS_CACHE: Dict[tuple, RunMetrics] = {}
+# -- the memo ---------------------------------------------------------
+
+
+class _StoreFormat(NamedTuple):
+    """How one memo kind persists in the disk tier."""
+
+    artifact: str  # the store's artifact kind
+    fmt: str  # "json" or "pickle"
+    encode: Callable
+    decode: Callable
+
+
+def _same(value):
+    return value
+
+
+_METRICS = _StoreFormat("metrics", "json", metrics_to_payload,
+                        metrics_from_payload)
+_BUNDLE = _StoreFormat("pinpoints", "pickle", _same, _same)
+
+#: The memory tier: ``(kind, key)`` -> value, for every memo kind.
+_MEMO: Dict[tuple, object] = {}
+
+
+def _memoized(
+    kind: str, key: tuple, params: dict, store_format: _StoreFormat,
+    compute: Callable[[], T],
+) -> T:
+    """``compute()``, memoized under ``(kind, key)`` in both tiers.
+
+    A memory hit returns the very object computed earlier; a miss reads
+    the disk tier under ``params`` before computing.  Computed values
+    and memory hits are written through unless already stored, so a
+    store configured *after* a value was computed still captures it.
+    Any :class:`StoreError` — a failed read or write, or ``params`` that
+    cannot be hashed into a stable key — just skips the disk tier.
+    """
+    slot = (kind, key)
+    if slot in _MEMO:
+        telemetry_count("memtier.hit", kind=kind)
+        value = _MEMO[slot]
+    else:
+        if _STORE is not None:
+            try:
+                stored = getattr(_STORE, "get_" + store_format.fmt)(
+                    store_format.artifact, params
+                )
+            except StoreError:
+                stored = None
+            if stored is not None:
+                value = store_format.decode(stored)
+                _MEMO[slot] = value
+                return value
+        telemetry_count("memtier.miss", kind=kind)
+        value = compute()
+        _MEMO[slot] = value
+    if _STORE is not None:
+        try:
+            if not _STORE.has(store_format.artifact, params, store_format.fmt):
+                getattr(_STORE, "put_" + store_format.fmt)(
+                    store_format.artifact, params, store_format.encode(value)
+                )
+        except StoreError:
+            pass
+    return value
 
 
 def measure_whole(
@@ -199,30 +239,22 @@ def measure_whole(
     sessions.
     """
     key = _metrics_key(out, config)
-    if key in _WHOLE_CACHE:
-        telemetry_count("memtier.hit", kind="whole")
-        metrics = _WHOLE_CACHE[key]
-        _store_put_metrics("whole", key, metrics)
-        return metrics
-    stored = _store_get_metrics("whole", key)
-    if stored is not None:
-        _WHOLE_CACHE[key] = stored
-        return stored
-    telemetry_count("memtier.miss", kind="whole")
+    return _memoized("whole", key, {"run": "whole", "key": key}, _METRICS,
+                     lambda: _replay_whole(out, config))
+
+
+def _replay_whole(out: PinPointsOutput, config) -> RunMetrics:
     cache = AllCache(config)
     mix = LdStMix()
     with span("cache.replay", run="whole", benchmark=out.benchmark):
         out.replayer().replay(out.whole, [cache, mix])
     stats = cache.stats()
-    metrics = RunMetrics(
+    return RunMetrics(
         instructions=mix.total_instructions,
         mix=mix.fractions(),
         miss_rates={lv: stats[lv].miss_rate for lv in LEVELS},
         l3_accesses=stats["L3"].accesses,
     )
-    _WHOLE_CACHE[key] = metrics
-    _store_put_metrics("whole", key, metrics)
-    return metrics
 
 
 def measure_points(
@@ -236,25 +268,28 @@ def measure_points(
     Each pinball is replayed in isolation (fresh caches), matching the
     paper's methodology; ``with_warmup`` replays the warmup prefix with
     statistics frozen first (the Warmup Regional Run).  Deterministic, so
-    results are cached like :func:`measure_whole`.
+    results are cached like :func:`measure_whole`, keyed on each
+    pinball's region, warmup and weight.
     """
     key = _metrics_key(
         out, config,
         extra=(
-            tuple((p.region_start, p.warmup_slices) for p in pinballs),
+            tuple(
+                (p.region_start, p.warmup_slices, p.weight)
+                for p in pinballs
+            ),
             with_warmup,
         ),
     )
-    if key in _POINTS_CACHE:
-        telemetry_count("memtier.hit", kind="points")
-        metrics = _POINTS_CACHE[key]
-        _store_put_metrics("points", key, metrics)
-        return metrics
-    stored = _store_get_metrics("points", key)
-    if stored is not None:
-        _POINTS_CACHE[key] = stored
-        return stored
-    telemetry_count("memtier.miss", kind="points")
+    return _memoized(
+        "points", key, {"run": "points", "key": key}, _METRICS,
+        lambda: _replay_points(out, pinballs, with_warmup, config),
+    )
+
+
+def _replay_points(
+    out: PinPointsOutput, pinballs, with_warmup: bool, config
+) -> RunMetrics:
     replayer = out.replayer()
     mixes, weights, instructions, l3_accesses = [], [], 0, 0
     rates: Dict[str, List[float]] = {lv: [] for lv in LEVELS}
@@ -276,18 +311,12 @@ def measure_points(
             weights.append(pinball.weight)
             instructions += mix.total_instructions
             l3_accesses += stats["L3"].accesses
-    metrics = RunMetrics(
+    return RunMetrics(
         instructions=instructions,
         mix=weighted_mix(mixes, weights),
         miss_rates={lv: weighted_average(rates[lv], weights) for lv in LEVELS},
         l3_accesses=l3_accesses,
     )
-    _POINTS_CACHE[key] = metrics
-    _store_put_metrics("points", key, metrics)
-    return metrics
-
-
-_PINPOINTS_CACHE: Dict[tuple, PinPointsOutput] = {}
 
 
 def _freeze(value):
@@ -321,51 +350,18 @@ def pinpoints_for(benchmark: str, **kwargs) -> PinPointsOutput:
     # before the sampler-registry refactor (no ``selection`` field) must
     # miss here and recompute rather than resurrect with stale attributes.
     params = {"benchmark": benchmark, "kwargs": dict(kwargs), "schema": 2}
-    if key in _PINPOINTS_CACHE:
-        telemetry_count("memtier.hit", kind="pinpoints")
-        out = _PINPOINTS_CACHE[key]
-        _store_put_pinpoints(params, out)
-        return out
-    if _STORE is not None:
-        try:
-            stored = _STORE.get_pickle("pinpoints", params)
-        except StoreError:
-            stored = None
-        if stored is not None:
-            _PINPOINTS_CACHE[key] = stored
-            return stored
-    telemetry_count("memtier.miss", kind="pinpoints")
-    out = run_pinpoints(benchmark, **kwargs)
-    _PINPOINTS_CACHE[key] = out
-    _store_put_pinpoints(params, out)
-    return out
-
-
-def _store_put_pinpoints(params: dict, out: PinPointsOutput) -> None:
-    """Persist a pipeline bundle unless already stored (or unkeyable).
-
-    Like :func:`_store_put_metrics`, this also backfills a store that
-    was configured after the bundle was computed.
-    """
-    if _STORE is None:
-        return
-    try:
-        if not _STORE.has("pinpoints", params, "pickle"):
-            _STORE.put_pickle("pinpoints", params, out)
-    except StoreError:
-        pass
+    return _memoized("pinpoints", key, params, _BUNDLE,
+                     lambda: run_pinpoints(benchmark, **kwargs))
 
 
 def clear_pinpoints_cache() -> None:
     """Drop all cached pipeline/measurement results (test isolation).
 
-    Clears both tiers: the per-process dicts and, when a disk store is
+    Clears both tiers: the per-process memo and, when a disk store is
     configured, every persisted artifact in it — a test that clears the
     cache must never read a stale artifact from a previous run.
     """
-    _PINPOINTS_CACHE.clear()
-    _WHOLE_CACHE.clear()
-    _POINTS_CACHE.clear()
+    _MEMO.clear()
     if _STORE is not None:
         _STORE.clear()
 

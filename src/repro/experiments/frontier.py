@@ -16,7 +16,7 @@ automatically adds its curve here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,12 +30,14 @@ from repro.experiments.common import (
 )
 from repro.experiments.registry import experiment, renders
 from repro.experiments.report import format_bar, format_table
+from repro.pin.engine import Engine
+from repro.pin.tools.mav import MAVProfiler
 from repro.pinball.logger import PinPlayLogger
-from repro.sampling.features import FEATURE_BBV, FEATURE_MAV, collect_features
+from repro.pinpoints.pipeline import PinPointsOutput
+from repro.sampling.features import FEATURE_MAV, SliceFeatures
 from repro.sampling.registry import get_sampler, run_sampler
 from repro.sniper.core import SniperSimulator
 from repro.stats.compare import weighted_average
-from repro.workloads.spec2017 import get_descriptor
 
 #: Samplers drawn on the frontier by default: the paper's methodology,
 #: the strongest classic baselines, and the three newly ported methods.
@@ -152,6 +154,24 @@ class FrontierResult:
         )
 
 
+def _frontier_features(
+    out: PinPointsOutput, samplers: Sequence[str]
+) -> SliceFeatures:
+    """The one feature bundle every requested sampler reads.
+
+    The BBVs are the ones the PinPoints flow already profiled; only the
+    MAV columns are profiled here, when a requested sampler needs them
+    and the flow's own sampler did not.
+    """
+    features = out.features
+    needs_mav = any(FEATURE_MAV in get_sampler(s).requires for s in samplers)
+    if needs_mav and features.mav is None:
+        mav = MAVProfiler()
+        Engine([mav]).run(out.whole.replay_slices(out.program))
+        features = replace(features, mav=mav.matrix())
+    return features
+
+
 def _benchmark_frontier(
     name: str,
     samplers: Tuple[str, ...],
@@ -160,23 +180,11 @@ def _benchmark_frontier(
 ) -> List[FrontierRow]:
     """One benchmark's frontier sweep (process-pool worker unit)."""
     out = pinpoints_for(name, **pinpoints_kwargs)
-    descriptor = get_descriptor(name)
     simulator = SniperSimulator()
     whole_timing = simulator.run_region(out.whole.replay_slices(out.program))
     whole_cpi = whole_timing.cpi
 
-    # One feature bundle serves every sampler: collect the union of the
-    # requested feature families (the slice-trace memo makes the second
-    # profiling pass over the whole pinball cheap).
-    needs_mav = any(
-        FEATURE_MAV in get_sampler(s).requires for s in samplers
-    )
-    requires = (FEATURE_BBV, FEATURE_MAV) if needs_mav else (FEATURE_BBV,)
-    features = collect_features(
-        out.program, out.whole,
-        benchmark=out.benchmark, seed=descriptor.seed, requires=requires,
-    )
-
+    features = _frontier_features(out, samplers)
     logger = PinPlayLogger(out.benchmark, out.program)
     rows: List[FrontierRow] = []
     for sampler_name in samplers:

@@ -16,15 +16,13 @@ every consumer treats traces as read-only — the memo enforces this by
 marking cached arrays non-writeable, so an accidental in-place mutation
 raises instead of silently corrupting later replays.
 
-The budget is ``REPRO_SLICE_CACHE_MB`` megabytes (default
-:data:`DEFAULT_BUDGET_MB`); ``0`` disables the memo entirely.  The memo
+The budget is the constant :data:`BUDGET_MB` megabytes.  The memo
 is per-process: parallel workers each keep their own, which preserves
 the repo's partition-independent determinism story.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Optional, Tuple
 
@@ -32,10 +30,8 @@ from repro.errors import ConfigError
 from repro.isa.trace import SliceTrace
 from repro.telemetry.recorder import get_recorder
 
-#: Default memo budget in megabytes (~one whole run's slices).
-DEFAULT_BUDGET_MB = 192
-
-_BUDGET_ENV = "REPRO_SLICE_CACHE_MB"
+#: Memo budget in megabytes (~one whole run's slices).
+BUDGET_MB = 192
 
 Key = Tuple[str, int]
 
@@ -112,45 +108,23 @@ def _freeze(trace: SliceTrace) -> None:
         array.flags.writeable = False
 
 
-#: Module slot: unset list, or [SliceTraceCache-or-None].
-_CACHE: list = []
+#: The process-wide memo.
+_CACHE = SliceTraceCache(BUDGET_MB << 20)
 
 
-def get_slice_cache() -> Optional[SliceTraceCache]:
-    """The process-wide memo, or ``None`` when disabled."""
-    if not _CACHE:
-        raw = os.environ.get(_BUDGET_ENV)
-        if raw is None:
-            budget_mb = DEFAULT_BUDGET_MB
-        else:
-            try:
-                budget_mb = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{_BUDGET_ENV} must be an integer, got {raw!r}"
-                )
-            if budget_mb < 0:
-                raise ConfigError(
-                    f"{_BUDGET_ENV} must be >= 0, got {budget_mb}"
-                )
-        if budget_mb == 0:
-            _CACHE.append(None)
-        else:
-            _CACHE.append(SliceTraceCache(budget_mb * (1 << 20)))
-    return _CACHE[0]
+def get_slice_cache() -> SliceTraceCache:
+    """The process-wide memo."""
+    return _CACHE
 
 
 def reset_slice_cache() -> None:
-    """Drop the memo and re-read the budget (for tests)."""
+    """Drop every memoized trace (for tests)."""
     _CACHE.clear()
 
 
 def lookup(key: Key) -> Optional[SliceTrace]:
     """Memo lookup with hit/miss telemetry."""
-    cache = get_slice_cache()
-    if cache is None:
-        return None
-    trace = cache.get(key)
+    trace = _CACHE.get(key)
     recorder = get_recorder()
     if recorder is not None:
         recorder.count(
@@ -160,7 +134,5 @@ def lookup(key: Key) -> Optional[SliceTrace]:
 
 
 def store(key: Key, trace: SliceTrace) -> None:
-    """Insert a freshly generated trace (no-op when disabled)."""
-    cache = get_slice_cache()
-    if cache is not None:
-        cache.put(key, trace)
+    """Insert a freshly generated trace."""
+    _CACHE.put(key, trace)

@@ -421,9 +421,7 @@ class TestExperimentBytes:
 
         monkeypatch.setenv("REPRO_CACHE_BACKEND", backend)
         configure_cache(tmp_path / backend)
-        common._PINPOINTS_CACHE.clear()
-        common._WHOLE_CACHE.clear()
-        common._POINTS_CACHE.clear()
+        common._MEMO.clear()
         return "\n".join(
             render(run([bench], jobs=1, **self.QUICK))
             for run, render in figures

@@ -1,10 +1,13 @@
 """Shared experiment plumbing: measurement caching and resolution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.config import ALLCACHE_SIM, ALLCACHE_TABLE_I
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StoreError
 from repro.experiments import common
 from repro.experiments.common import (
     clear_pinpoints_cache,
@@ -16,6 +19,7 @@ from repro.experiments.common import (
     pinpoints_for,
     resolve_benchmarks,
 )
+from repro.parallel import ArtifactStore
 from repro.workloads.spec2017 import benchmark_names
 
 from conftest import QUICK
@@ -131,14 +135,14 @@ class TestMeasurementCache:
 
 
 class TestDiskTier:
-    """Two-tier behaviour: memory dicts in front of the artifact store."""
+    """Two-tier behaviour: the memory memo in front of the artifact store."""
 
     def test_metrics_survive_a_memory_clear(self, tmp_path):
         configure_cache(tmp_path / "store")
         clear_pinpoints_cache()
         out = pinpoints_for("620.omnetpp_s", **QUICK)
         first = measure_whole(out)
-        common._WHOLE_CACHE.clear()  # simulate a fresh process
+        common._MEMO.clear()  # simulate a fresh process
         again = measure_whole(out)
         assert again is not first
         assert np.array_equal(again.mix, first.mix)
@@ -151,7 +155,7 @@ class TestDiskTier:
         clear_pinpoints_cache()
         out = pinpoints_for("620.omnetpp_s", **QUICK)
         first = measure_points(out, out.reduced, with_warmup=True)
-        common._POINTS_CACHE.clear()
+        common._MEMO.clear()
         again = measure_points(out, out.reduced, with_warmup=True)
         assert again is not first
         assert again.miss_rates == first.miss_rates
@@ -160,7 +164,7 @@ class TestDiskTier:
         configure_cache(tmp_path / "store")
         clear_pinpoints_cache()
         first = pinpoints_for("620.omnetpp_s", **QUICK)
-        common._PINPOINTS_CACHE.clear()
+        common._MEMO.clear()
         again = pinpoints_for("620.omnetpp_s", **QUICK)
         assert again is not first
         assert again.benchmark == first.benchmark
@@ -184,6 +188,87 @@ class TestDiskTier:
         clear_pinpoints_cache()
         a = pinpoints_for("620.omnetpp_s", **QUICK)
         assert pinpoints_for("620.omnetpp_s", **QUICK) is a
+
+
+def _same_metrics(a, b):
+    return (
+        a.instructions == b.instructions
+        and np.array_equal(a.mix, b.mix)
+        and a.miss_rates == b.miss_rates
+        and a.l3_accesses == b.l3_accesses
+    )
+
+
+class TestPointsKey:
+    """Pinball weights are part of what a points measurement computes."""
+
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_reweighted_regions_are_not_served_stale(self, tier, tmp_path):
+        configure_cache(tmp_path / "store")
+        clear_pinpoints_cache()
+        out = pinpoints_for("505.mcf_r", **QUICK)
+        weighted = measure_points(out, out.regional)
+        share = 1.0 / len(out.regional)
+        uniform = [replace(p, weight=share) for p in out.regional]
+        assert [p.weight for p in out.regional] != [share] * len(uniform)
+        if tier == "disk":
+            common._MEMO.clear()
+        memoized = measure_points(out, uniform)
+        clear_pinpoints_cache()
+        fresh = measure_points(out, uniform)
+        assert not _same_metrics(fresh, weighted)
+        assert _same_metrics(memoized, fresh)
+
+
+#: Each memo kind, measured from a PinPoints bundle.
+MEMO_KINDS = {
+    "pinpoints": lambda out: pinpoints_for("620.omnetpp_s", **QUICK),
+    "whole": lambda out: measure_whole(out),
+    "points": lambda out: measure_points(out, out.regional),
+}
+
+
+def _memtier_counts(recorder, kind):
+    counters = recorder.metrics.counters
+    return tuple(
+        counters.get(telemetry.metric_key(name, {"kind": kind}), 0)
+        for name in ("memtier.hit", "memtier.miss")
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_KINDS))
+class TestMemo:
+    """The one memo path, checked for each kind it serves."""
+
+    def test_memory_hit_backfills_a_later_store(self, kind, tmp_path):
+        measure = MEMO_KINDS[kind]
+        configure_cache(None, enabled=False)
+        clear_pinpoints_cache()
+        out = pinpoints_for("620.omnetpp_s", **QUICK)
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            first = measure(out)  # computed, or a memory hit (pinpoints)
+            configure_cache(tmp_path / "store")
+            assert measure(out) is first  # a memory hit writes through
+            common._MEMO.clear()
+            again = measure(out)  # a store hit counts neither
+        assert again is not first
+        hits, misses = _memtier_counts(recorder, kind)
+        assert (hits, misses) == ((2, 0) if kind == "pinpoints" else (1, 1))
+
+    def test_failed_put_is_swallowed(self, kind, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise StoreError("injected: store refuses writes")
+
+        monkeypatch.setattr(ArtifactStore, "put_json", refuse)
+        monkeypatch.setattr(ArtifactStore, "put_pickle", refuse)
+        configure_cache(tmp_path / "store")
+        clear_pinpoints_cache()
+        out = pinpoints_for("620.omnetpp_s", **QUICK)
+        value = MEMO_KINDS[kind](out)
+        assert value is not None
+        assert MEMO_KINDS[kind](out) is value
+        assert common.get_store().info().total_artifacts == 0
 
 
 class TestMeasureBenchmark:

@@ -66,11 +66,9 @@ def bare_trace(mem_lines):
 
 @pytest.fixture
 def fresh_slices(monkeypatch):
-    """Generate every slice from scratch instead of reading the memo."""
-    monkeypatch.setenv("REPRO_SLICE_CACHE_MB", "0")
-    slicecache.reset_slice_cache()
-    yield
-    slicecache.reset_slice_cache()
+    """Generate every slice from scratch, bypassing the memo."""
+    monkeypatch.setattr(slicecache, "lookup", lambda key: None)
+    monkeypatch.setattr(slicecache, "store", lambda key, trace: None)
 
 
 class TestSortedUnique:

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SimPointError
+from repro.experiments.frontier import _frontier_features
 from repro.pin.tools.mav import MAV_DIM
 from repro.pinpoints.pipeline import run_pinpoints
 from repro.sampling import (
@@ -37,6 +38,8 @@ from repro.sampling import (
     stratified_sample,
     systematic_sample,
 )
+from repro.sampling.features import collect_features
+from repro.workloads.spec2017 import get_descriptor
 
 GOLDENS = json.loads(
     (Path(__file__).parent / "goldens" / "sampler_goldens.json").read_text()
@@ -257,6 +260,33 @@ class TestFeatureGating:
     def test_default_pipeline_skips_mav(self):
         out = run_pinpoints("620.omnetpp_s", **QUICK)
         assert out.features.mav is None
+
+    @pytest.mark.parametrize("flow,samplers", [
+        ("simpoint", ("simpoint", "random")),
+        ("simpoint", ("simpoint", "mav")),
+        ("mav", ("simpoint", "mav")),
+    ])
+    def test_frontier_bundle_matches_a_fresh_profile(self, flow, samplers):
+        """The frontier reuses the flow's BBVs instead of re-profiling."""
+        out = run_pinpoints("620.omnetpp_s", sampler=flow, **QUICK)
+        bundle = _frontier_features(out, samplers)
+        requires = tuple(sorted(
+            {f for s in samplers for f in get_sampler(s).requires}
+        ))
+        fresh = collect_features(
+            out.program, out.whole, benchmark=out.benchmark,
+            seed=get_descriptor("620.omnetpp_s").seed, requires=requires,
+        )
+        assert (bundle.benchmark, bundle.slice_size, bundle.seed) == (
+            fresh.benchmark, fresh.slice_size, fresh.seed
+        )
+        for field in ("bbv", "slice_indices", "mav"):
+            got, want = getattr(bundle, field), getattr(fresh, field)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestPipelineAcrossSamplers:
